@@ -9,11 +9,13 @@
 //	  -replica shard-b=http://10.0.0.2:8080 \
 //	  -seed 42
 //
-// The router routes POST /v2/predict and /v2/ingest by server ID, splits
+// The router relays POST /v2/predict bodies byte for byte to the owner of
+// their server ID, routes /v2/ingest points by server ID, splits
 // POST /v2/predict/batch across shards and merges per-item results in
 // request order, broadcasts ingest sweep clauses, aggregates GET /varz and
-// GET /metrics fleet-wide, and round-robins the stateless endpoints
-// (/v2/advise, /v2/models, /v1/*). Requests to a draining replica are
+// GET /metrics fleet-wide, and relays the stateless endpoints (/v2/advise,
+// /v2/models, and predicts without a server ID) round-robin with failover.
+// Requests to a draining replica are
 // retried with jittered exponential backoff honoring Retry-After
 // (-retry-attempts, -retry-budget) behind a per-replica circuit breaker
 // (-breaker-threshold, -breaker-cooldown).

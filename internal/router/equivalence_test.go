@@ -9,6 +9,7 @@ package router_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -315,6 +316,42 @@ func TestFourReplicaEquivalence(t *testing.T) {
 	}
 	if fv.Fleet.Servers != len(base.ing.Servers()) {
 		t.Errorf("fleet servers %d, single process %d", fv.Fleet.Servers, len(base.ing.Servers()))
+	}
+}
+
+// TestRoutedPredictByteIdentical pins the relay: the router forwards a
+// predict body unchanged and writes the owner's reply back verbatim, so a
+// routed /v2/predict answer is byte-identical to the owning replica's direct
+// answer to the same body.
+func TestRoutedPredictByteIdentical(t *testing.T) {
+	w := newWorld(t, 16)
+	reps, rt := w.newFleet(2)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	if _, err := serving.NewClient(front.URL).Ingest(context.Background(), ingestBatch(w.live)); err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*replicaStack{}
+	for _, rep := range reps {
+		byName[rep.name] = rep
+	}
+	for _, id := range w.predictTargets()[:4] {
+		body, err := json.Marshal(livePredict(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := byName[rt.Map().Owner(id)]
+		// The first direct call warms the owner's pool, so the direct and
+		// routed answers below agree on the pooled flag too.
+		post(t, owner.srv.URL+"/v2/predict", string(body))
+		resp, routed := post(t, front.URL+"/v2/predict", string(body))
+		if resp.StatusCode != 200 {
+			t.Fatalf("routed predict %s: %d %s", id, resp.StatusCode, routed)
+		}
+		_, direct := post(t, owner.srv.URL+"/v2/predict", string(body))
+		if routed != direct {
+			t.Fatalf("%s: routed reply differs from the owner's direct reply:\n%s\nvs\n%s", id, routed, direct)
+		}
 	}
 }
 

@@ -12,11 +12,19 @@
 // breaker, so a draining replica is retried until its replacement is up and
 // a dead one fails fast instead of absorbing every request's timeout.
 //
+// Pass-through routes relay bytes: the router reads a request body once,
+// forwards it unchanged, and writes the replica's 200 reply back verbatim.
+// A predict is decoded only as far as its server_id and live_history keys,
+// so a 2016-point history is never parsed into floats at the router and a
+// routed reply is byte-identical to the owning replica's direct reply. Only
+// the routes that must split or merge per-item results decode fully.
+//
 // Routing semantics per endpoint:
 //
-//   - POST /v2/predict: routed to the owner of server_id (mandatory for
+//   - POST /v2/predict: relayed to the owner of server_id (mandatory for
 //     live_history — the live window lives in the owner's rings); requests
-//     without a server_id are stateless and round-robin across replicas.
+//     without a server_id are stateless and round-robin across replicas
+//     with failover.
 //   - POST /v2/predict/batch: split by item owner, fanned out concurrently,
 //     per-item results merged back in request order. A replica failure
 //     fails only its own items.
@@ -28,11 +36,12 @@
 //   - GET /v2/predictions/{region}/{week}: fanned out and merged by server
 //     (replicas share the document store in-region, but a refresher upserts
 //     only its own shard, so the union is the fleet view).
-//   - POST /v2/advise, /v1/*, GET /v2/models: stateless; round-robin with
+//   - POST /v2/advise, GET /v2/models: stateless; relayed round-robin with
 //     failover to the next replica.
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -177,11 +186,9 @@ func New(cfg Config) (*Router, error) {
 	handle("POST /v2/predict", rt.handlePredict)
 	handle("POST /v2/predict/batch", rt.handleBatch)
 	handle("POST /v2/ingest", rt.handleIngest)
-	handle("POST /v2/advise", rt.forwardJSON("/v2/advise"))
-	handle("GET /v2/models", rt.forwardGet("/v2/models"))
+	handle("POST /v2/advise", rt.forward("/v2/advise"))
+	handle("GET /v2/models", rt.forward("/v2/models"))
 	handle("GET /v2/predictions/{region}/{week}", rt.handlePredictions)
-	handle("POST /v1/predict", rt.forwardJSON("/v1/predict"))
-	handle("GET /v1/models", rt.forwardGet("/v1/models"))
 	rt.mux = mux
 	return rt, nil
 }
@@ -306,20 +313,6 @@ func (rt *Router) observeForward(name string, err error) {
 	}
 }
 
-// statusWriter captures the response status for the route error counters.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// Unwrap exposes the wrapped writer to http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // instrument wraps a handler with per-route request/error accounting.
 func (rt *Router) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	rt.routesMu.Lock()
@@ -330,10 +323,10 @@ func (rt *Router) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	rt.routesMu.Unlock()
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &serving.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		h(sw, r)
 		rv.count.Add(1)
-		if sw.status >= 400 {
+		if sw.Status >= 400 {
 			rv.errors.Add(1)
 		}
 	}
@@ -382,21 +375,38 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !st.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, st)
+	serving.WriteJSON(w, status, st)
 }
 
-// decode reads a bounded JSON body.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(into); err != nil {
+// readBody reads the bounded request body whole, sized from Content-Length
+// when the client sent one.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	n := r.ContentLength
+	if n < 0 || n > rt.cfg.MaxBodyBytes {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, serving.CodeTooLarge,
+			serving.WriteError(w, http.StatusRequestEntityTooLarge, serving.CodeTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
+			return nil, false
 		}
-		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest, "read body: "+err.Error())
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// decode reads a bounded JSON body into into.
+func (rt *Router) decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	body, ok := rt.readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, into); err != nil {
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
 		return false
 	}
 	return true
@@ -413,16 +423,16 @@ func writeUpstream(w http.ResponseWriter, replica string, err error) {
 		if api.RetryAfter > 0 {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(api.RetryAfter.Seconds()+0.5)))
 		}
-		writeError(w, api.Status, api.Code, api.Message)
+		serving.WriteError(w, api.Status, api.Code, api.Message)
 		return
 	}
 	w.Header().Set("Retry-After", "1")
 	if errors.Is(err, serving.ErrCircuitOpen) {
-		writeError(w, http.StatusServiceUnavailable, serving.CodeOverloaded,
+		serving.WriteError(w, http.StatusServiceUnavailable, serving.CodeOverloaded,
 			fmt.Sprintf("replica %s: %v", replica, err))
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, serving.CodeOverloaded,
+	serving.WriteError(w, http.StatusServiceUnavailable, serving.CodeOverloaded,
 		fmt.Sprintf("replica %s unavailable: %v", replica, err))
 }
 
@@ -436,16 +446,4 @@ func upstreamErrorBody(replica string, err error) *serving.ErrorBody {
 		Code:    serving.CodeOverloaded,
 		Message: fmt.Sprintf("replica %s unavailable: %v", replica, err),
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code serving.ErrorCode, msg string) {
-	writeJSON(w, status, struct {
-		Error serving.ErrorBody `json:"error"`
-	}{Error: serving.ErrorBody{Code: code, Message: msg}})
 }

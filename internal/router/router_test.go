@@ -91,14 +91,6 @@ func newFake(t *testing.T, name string) *fake {
 			},
 		})
 	})
-	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, _ *http.Request) {
-		f.hits.Add(1)
-		_ = json.NewEncoder(w).Encode([]serving.ModelInfo{})
-	})
-	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, _ *http.Request) {
-		f.hits.Add(1)
-		_ = json.NewEncoder(w).Encode(serving.PredictResponse{Model: "fake-" + f.name})
-	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
 	return f
@@ -228,7 +220,8 @@ func TestHealthAndReadyCoverage(t *testing.T) {
 func TestStatelessFailover(t *testing.T) {
 	fakes, _, front := newFakeFleet(t, 2, nil)
 	fakes[0].srv.Close()
-	// Both GET and POST forwards must skip the dead replica. Two rounds so
+	// Every stateless relay — GET, POST, and a predict without a server ID —
+	// must skip the dead replica. Two rounds so
 	// the round-robin cursor starts on each replica at least once.
 	for i := 0; i < 2; i++ {
 		if resp, body := get(t, front.URL+"/v2/models"); resp.StatusCode != 200 {
@@ -237,11 +230,8 @@ func TestStatelessFailover(t *testing.T) {
 		if resp, body := post(t, front.URL+"/v2/advise", `{"predicted_day":{"values":[1]},"customer_start":0}`); resp.StatusCode != 200 || !strings.Contains(body, "keep_current") {
 			t.Fatalf("advise failover: %d %s", resp.StatusCode, body)
 		}
-		if resp, _ := get(t, front.URL+"/v1/models"); resp.StatusCode != 200 {
-			t.Fatalf("v1 models failover: %d", resp.StatusCode)
-		}
-		if resp, _ := post(t, front.URL+"/v1/predict", `{}`); resp.StatusCode != 200 {
-			t.Fatalf("v1 predict failover: %d", resp.StatusCode)
+		if resp, body := post(t, front.URL+"/v2/predict", `{"history":{"values":[1]}}`); resp.StatusCode != 200 || !strings.Contains(body, "fake-shard-b") {
+			t.Fatalf("stateless predict failover: %d %s", resp.StatusCode, body)
 		}
 	}
 	if fakes[1].hits.Load() == 0 {

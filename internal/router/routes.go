@@ -11,37 +11,36 @@ import (
 	"seagull/internal/serving"
 )
 
-// This file holds the traffic-bearing routes: predict routed by owner,
+// This file holds the traffic-bearing routes: predict relayed to its owner,
 // batch/ingest split across shards and merged, stored predictions fanned out
-// and unioned, and the stateless round-robin forwards.
+// and unioned, and the stateless round-robin relays.
 
-// handlePredict routes one predict to the owner of its server ID. A request
+// predictKeys is all of a predict body the router reads: the owner key and
+// the flag that pins a request to it. The rest passes through undecoded.
+type predictKeys struct {
+	ServerID    string `json:"server_id"`
+	LiveHistory bool   `json:"live_history"`
+}
+
+// handlePredict relays one predict to the owner of its server ID. A request
 // without a server ID carries its own history and is stateless — any replica
-// serves it identically, so it round-robins.
+// serves it identically, so it round-robins with failover.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req serving.PredictRequestV2
-	if !rt.decode(w, r, &req) {
+	body, ok := rt.readBody(w, r)
+	if !ok {
 		return
 	}
-	var name string
-	var client *serving.Client
-	if req.ServerID != "" {
-		name, client = rt.ownerClient(req.ServerID)
-	} else {
-		if req.LiveHistory {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
-				"live_history requires server_id: the live window lives on the owning replica")
-			return
-		}
-		name, client = rt.nextClient(nil)
-	}
-	resp, err := client.PredictV2(r.Context(), req)
-	rt.observeForward(name, err)
-	if err != nil {
-		writeUpstream(w, name, err)
+	var keys predictKeys
+	if err := json.Unmarshal(body, &keys); err != nil {
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if keys.ServerID == "" && keys.LiveHistory {
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest,
+			"live_history requires server_id: the live window lives on the owning replica")
+		return
+	}
+	rt.relay(w, r, http.MethodPost, "/v2/predict", body, keys.ServerID)
 }
 
 // handleBatch splits a batch by item owner, fans the sub-batches out
@@ -54,12 +53,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Servers) == 0 {
-		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "batch must contain at least one server")
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest, "batch must contain at least one server")
 		return
 	}
 	for i := range req.Servers {
 		if req.Servers[i].ServerID == "" {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
+			serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest,
 				"servers["+strconv.Itoa(i)+"]: server_id is required")
 			return
 		}
@@ -113,7 +112,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(name, idxs)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	serving.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleIngest splits the batch's series and points by owner, broadcasts the
@@ -140,7 +139,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Servers {
 		sr := &req.Servers[i]
 		if sr.ServerID == "" {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
+			serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest,
 				"servers["+strconv.Itoa(i)+"]: server_id is required")
 			return
 		}
@@ -150,7 +149,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Points {
 		p := &req.Points[i]
 		if p.ServerID == "" {
-			writeError(w, http.StatusBadRequest, serving.CodeBadRequest,
+			serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest,
 				"points["+strconv.Itoa(i)+"]: server_id is required")
 			return
 		}
@@ -165,7 +164,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(subs) == 0 {
-		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "ingest batch must contain at least one point")
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest, "ingest batch must contain at least one point")
 		return
 	}
 
@@ -219,7 +218,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if merged.Sweep != nil {
 		sort.Strings(merged.Sweep.Servers)
 	}
-	writeJSON(w, http.StatusOK, merged)
+	serving.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handlePredictions fans the stored-prediction query out to every replica
@@ -229,7 +228,7 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	region := r.PathValue("region")
 	week, err := strconv.Atoi(r.PathValue("week"))
 	if err != nil || region == "" {
-		writeError(w, http.StatusBadRequest, serving.CodeBadRequest, "path must be /v2/predictions/{region}/{week}")
+		serving.WriteError(w, http.StatusBadRequest, serving.CodeBadRequest, "path must be /v2/predictions/{region}/{week}")
 		return
 	}
 	smap, clients := rt.view()
@@ -270,59 +269,61 @@ func (rt *Router) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(merged.Predictions, func(i, j int) bool {
 		return merged.Predictions[i].ServerID < merged.Predictions[j].ServerID
 	})
-	writeJSON(w, http.StatusOK, merged)
+	serving.WriteJSON(w, http.StatusOK, merged)
 }
 
-// proxy forwards one stateless request body to a replica and relays the
-// JSON response, failing over to the next replica on a retryable error.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, method, path string, body json.RawMessage) {
-	smap, _ := rt.view()
-	n := smap.N()
-	skip := map[string]bool{}
+// forward builds a stateless pass-through handler: a POST body relays
+// unchanged, a GET carries none.
+func (rt *Router) forward(path string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body []byte
+		if r.Method == http.MethodPost {
+			var ok bool
+			if body, ok = rt.readBody(w, r); !ok {
+				return
+			}
+		}
+		rt.relay(w, r, r.Method, path, body, "")
+	}
+}
+
+// relay is the router's one forward path. It sends body (nil: none) to a
+// replica unchanged and writes the replica's 200 reply back byte for byte.
+// With a server ID the request goes to the owner alone, whose client
+// retries through a drain. Without one it round-robins and fails over to
+// the next replica on a retryable error. An error answer is translated by
+// writeUpstream.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, method, path string, body []byte, serverID string) {
+	var skip map[string]bool
 	var lastName string
 	var lastErr error
-	for attempt := 0; attempt < n; attempt++ {
-		name, client := rt.nextClient(skip)
-		if client == nil {
+	for {
+		var name string
+		var client *serving.Client
+		if serverID != "" {
+			name, client = rt.ownerClient(serverID)
+		} else if name, client = rt.nextClient(skip); client == nil {
 			break
 		}
-		var in any
-		if body != nil {
-			in = body
-		}
-		var out any
-		err := client.Do(r.Context(), method, path, in, &out)
+		reply, err := client.Do(r.Context(), method, path, body)
 		rt.observeForward(name, err)
 		if err == nil {
-			writeJSON(w, http.StatusOK, out)
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(reply)
 			return
 		}
 		lastName, lastErr = name, err
+		// Only the owner can answer for its server, and a definitive answer
+		// (bad request, not found) is one every replica would give.
 		var api *serving.APIError
-		if errors.As(err, &api) && api.Status < 500 && api.Status != http.StatusTooManyRequests {
-			// Definitive answer (bad request, not found): no point failing
-			// over, every replica would agree.
+		definitive := errors.As(err, &api) && api.Status < 500 && api.Status != http.StatusTooManyRequests
+		if serverID != "" || definitive {
 			break
+		}
+		if skip == nil {
+			skip = map[string]bool{}
 		}
 		skip[name] = true
 	}
 	writeUpstream(w, lastName, lastErr)
-}
-
-// forwardJSON builds a handler that relays a POST body round-robin.
-func (rt *Router) forwardJSON(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var raw json.RawMessage
-		if !rt.decode(w, r, &raw) {
-			return
-		}
-		rt.proxy(w, r, http.MethodPost, path, raw)
-	}
-}
-
-// forwardGet builds a handler that relays a GET round-robin.
-func (rt *Router) forwardGet(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.proxy(w, r, http.MethodGet, path, nil)
-	}
 }

@@ -137,7 +137,7 @@ func (rt *Router) FleetVarz(ctx context.Context) FleetVarz {
 }
 
 func (rt *Router) handleVarz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.FleetVarz(r.Context()))
+	serving.WriteJSON(w, http.StatusOK, rt.FleetVarz(r.Context()))
 }
 
 // WriteMetrics renders the fleet aggregate in Prometheus exposition format.

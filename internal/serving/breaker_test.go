@@ -21,10 +21,10 @@ func TestBreakerOpensFailsFastAndRecloses(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		if !healthy.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
+			WriteJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
 			return
 		}
-		writeJSON(w, http.StatusOK, ModelsResponseV2{})
+		WriteJSON(w, http.StatusOK, ModelsResponseV2{})
 	}))
 	t.Cleanup(srv.Close)
 
@@ -102,7 +102,7 @@ func TestBreakerRetryAfterSetsOpenDuration(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
+		WriteJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
 	}))
 	t.Cleanup(srv.Close)
 
@@ -130,10 +130,10 @@ func TestBreakerDefinitiveAnswerCloses(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := calls.Add(1)
 		if n%2 == 1 {
-			writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
+			WriteJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
 			return
 		}
-		writeJSON(w, http.StatusNotFound, errorEnvelope{Error: ErrorBody{Code: CodeNotFound, Message: "nope"}})
+		WriteJSON(w, http.StatusNotFound, errorEnvelope{Error: ErrorBody{Code: CodeNotFound, Message: "nope"}})
 	}))
 	t.Cleanup(srv.Close)
 
@@ -163,10 +163,10 @@ func TestBreakerConcurrentFlappingServer(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		if healthy.Load() {
-			writeJSON(w, http.StatusOK, ModelsResponseV2{})
+			WriteJSON(w, http.StatusOK, ModelsResponseV2{})
 			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
+		WriteJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "shed"}})
 	}))
 
 	c := NewClient(srv.URL)
@@ -238,10 +238,10 @@ func TestClientIngestRetries429(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "ingest shed"}})
+			WriteJSON(w, http.StatusTooManyRequests, errorEnvelope{Error: ErrorBody{Code: CodeOverloaded, Message: "ingest shed"}})
 			return
 		}
-		writeJSON(w, http.StatusOK, IngestResponse{Accepted: 1})
+		WriteJSON(w, http.StatusOK, IngestResponse{Accepted: 1})
 	}))
 	t.Cleanup(srv.Close)
 

@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"seagull/internal/simclock"
-	"seagull/internal/timeseries"
 )
 
-// APIError is a structured error decoded from a v2 error envelope. v1
-// responses and undecodable bodies degrade to CodeInternal with the raw
-// body as the message.
+// APIError is a structured error decoded from an error envelope.
+// Undecodable bodies degrade to CodeInternal with the raw body as the
+// message.
 type APIError struct {
 	Status  int
 	Code    ErrorCode
@@ -36,7 +35,7 @@ func (e *APIError) Error() string {
 // RetryConfig bounds the client's retry loop. Retries target the drain
 // window of a rolling restart: a server flips /readyz to draining and soon
 // refuses connections, so a request may hit a transport error or a 503
-// until the replacement is up. Every v2 request is safe to retry — predicts
+// until the replacement is up. Every request is safe to retry — predicts
 // are pure, ingest appends are idempotent (first write per slot wins).
 type RetryConfig struct {
 	// MaxAttempts is the total number of tries (first attempt included);
@@ -67,7 +66,7 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	return c
 }
 
-// Client is the typed Go client for the serving endpoints, v1 and v2.
+// Client is the typed Go client for the serving endpoints.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -96,16 +95,12 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 60 * time.Second}}
 }
 
-// do posts (or gets, when in is nil) JSON and decodes the response into out,
-// converting non-200 responses into *APIError, with retries per c.Retry.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var data []byte
-	if in != nil {
-		var err error
-		if data, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
+// Do performs one request against path under the client's retry and
+// circuit-breaker policy and returns the 200 response body verbatim. body
+// is sent as application/json; nil sends no body. A non-200 answer becomes
+// an *APIError. The sharded router relays replica replies through it byte
+// for byte; the typed methods wrap it in a marshal and an unmarshal.
+func (c *Client) Do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	rc := c.Retry.withDefaults()
 	clock := simclock.Or(c.Clock)
 	brk := c.breakerFor(path)
@@ -119,19 +114,19 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if brk != nil {
 			if berr := brk.allow(clock.Now()); berr != nil {
 				if lastErr != nil {
-					return fmt.Errorf("%w (last failure: %v)", berr, lastErr)
+					return nil, fmt.Errorf("%w (last failure: %v)", berr, lastErr)
 				}
-				return berr
+				return nil, berr
 			}
 		}
-		err := c.doOnce(ctx, method, path, data, out)
+		reply, err := c.doOnce(ctx, method, path, body)
 		if err == nil || !retryable(err) {
 			if brk != nil {
 				// A definitive non-retryable answer (e.g. 404) also proves
 				// the server is up; both close the circuit.
 				brk.onSuccess()
 			}
-			return err
+			return reply, err
 		}
 		if brk != nil {
 			var ra time.Duration
@@ -141,11 +136,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			if brk.onFailure(c.Breaker.Threshold, cooldown, ra, clock.Now()) {
 				// The circuit just opened: stop hammering this endpoint even
 				// if the attempt budget has room.
-				return fmt.Errorf("%w after consecutive failures: %v", ErrCircuitOpen, err)
+				return nil, fmt.Errorf("%w after consecutive failures: %v", ErrCircuitOpen, err)
 			}
 		}
 		if attempt+1 >= rc.MaxAttempts {
-			return err
+			return nil, err
 		}
 		lastErr = err
 		delay := rc.BaseDelay << attempt
@@ -162,11 +157,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if rc.MaxElapsed > 0 && clock.Now().Sub(start)+delay > rc.MaxElapsed {
 			// The budget would expire mid-backoff; failing now keeps the
 			// caller's worst-case latency bounded by MaxElapsed.
-			return fmt.Errorf("serving: retry budget %v exhausted after %d attempts: %w",
+			return nil, fmt.Errorf("serving: retry budget %v exhausted after %d attempts: %w",
 				rc.MaxElapsed, attempt+1, lastErr)
 		}
 		if err := clock.Sleep(ctx, delay); err != nil {
-			return fmt.Errorf("serving: retry abandoned after %d attempts: %w (last: %v)",
+			return nil, fmt.Errorf("serving: retry abandoned after %d attempts: %w (last: %v)",
 				attempt+1, err, lastErr)
 		}
 	}
@@ -185,31 +180,34 @@ func retryable(err error) bool {
 	return true // transport-level failure
 }
 
-// doOnce performs a single request attempt over the pre-marshalled body.
-func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, out any) error {
-	var body io.Reader
-	if data != nil {
-		body = bytes.NewReader(data)
+// doOnce performs a single request attempt and reads the 200 reply whole.
+func (c *Client) doOnce(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if data != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return decodeAPIError(resp)
+		return nil, decodeAPIError(resp)
 	}
-	if out == nil {
-		return nil
+	// Size the buffer from Content-Length when the server sent one, so a
+	// reply is read in one allocation.
+	buf := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return buf.Bytes(), nil
 }
 
 // decodeAPIError reads a failed response into an *APIError, preferring the
@@ -244,49 +242,55 @@ func parseRetryAfter(h string) time.Duration {
 	return 0
 }
 
-// Do performs one JSON request against path under the client's full retry
-// and circuit-breaker policy, decoding the response into out. in may be any
-// marshalable value (json.RawMessage relays a pre-encoded body verbatim);
-// nil sends no body. The sharded router's stateless forwards are built on
-// it.
-func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
-	return c.do(ctx, method, path, in, out)
+// call marshals in (nil sends no body), performs Do and decodes the reply
+// into out.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	reply, err := c.Do(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(reply, out)
 }
-
-// --- v2 methods ---
 
 // PredictV2 posts a v2 predict request.
 func (c *Client) PredictV2(ctx context.Context, req PredictRequestV2) (PredictResponseV2, error) {
 	var out PredictResponseV2
-	err := c.do(ctx, http.MethodPost, "/v2/predict", req, &out)
+	err := c.call(ctx, http.MethodPost, "/v2/predict", req, &out)
 	return out, err
 }
 
 // PredictBatch posts a batch of servers in one call.
 func (c *Client) PredictBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
 	var out BatchResponse
-	err := c.do(ctx, http.MethodPost, "/v2/predict/batch", req, &out)
+	err := c.call(ctx, http.MethodPost, "/v2/predict/batch", req, &out)
 	return out, err
 }
 
 // Advise reviews a customer-selected backup window.
 func (c *Client) Advise(ctx context.Context, req AdviseRequest) (AdviseResponse, error) {
 	var out AdviseResponse
-	err := c.do(ctx, http.MethodPost, "/v2/advise", req, &out)
+	err := c.call(ctx, http.MethodPost, "/v2/advise", req, &out)
 	return out, err
 }
 
 // ModelsV2 fetches the v2 deployment listing with pool statistics.
 func (c *Client) ModelsV2(ctx context.Context) (ModelsResponseV2, error) {
 	var out ModelsResponseV2
-	err := c.do(ctx, http.MethodGet, "/v2/models", nil, &out)
+	err := c.call(ctx, http.MethodGet, "/v2/models", nil, &out)
 	return out, err
 }
 
 // Predictions fetches the stored pipeline predictions of one (region, week).
 func (c *Client) Predictions(ctx context.Context, region string, week int) (PredictionsResponse, error) {
 	var out PredictionsResponse
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v2/predictions/%s/%d", region, week), nil, &out)
+	err := c.call(ctx, http.MethodGet, fmt.Sprintf("/v2/predictions/%s/%d", region, week), nil, &out)
 	return out, err
 }
 
@@ -296,14 +300,14 @@ func (c *Client) Predictions(ctx context.Context, region string, week int) (Pred
 // backoff budget as a drain 503, honoring the server's Retry-After pacing.
 func (c *Client) Ingest(ctx context.Context, req IngestRequest) (IngestResponse, error) {
 	var out IngestResponse
-	err := c.do(ctx, http.MethodPost, "/v2/ingest", req, &out)
+	err := c.call(ctx, http.MethodPost, "/v2/ingest", req, &out)
 	return out, err
 }
 
 // Varz fetches the operational counters document.
 func (c *Client) Varz(ctx context.Context) (Varz, error) {
 	var out Varz
-	err := c.do(ctx, http.MethodGet, "/varz", nil, &out)
+	err := c.call(ctx, http.MethodGet, "/varz", nil, &out)
 	return out, err
 }
 
@@ -311,54 +315,8 @@ func (c *Client) Varz(ctx context.Context) (Varz, error) {
 // deliberately bypasses the retry loop: its job is to observe the draining
 // state, not to wait it out.
 func (c *Client) Ready(ctx context.Context) bool {
-	err := c.doOnce(ctx, http.MethodGet, "/readyz", nil, nil)
+	_, err := c.doOnce(ctx, http.MethodGet, "/readyz", nil)
 	return err == nil
-}
-
-// --- v1 methods (kept for compatibility) ---
-
-// Predict posts a history series to the v1 endpoint and returns the
-// forecast.
-func (c *Client) Predict(scenario, region string, history timeseries.Series, horizon int) (timeseries.Series, PredictResponse, error) {
-	req := PredictRequest{
-		Scenario: scenario, Region: region,
-		History: FromSeries(history), Horizon: horizon,
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return timeseries.Series{}, PredictResponse{}, err
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+"/v1/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return timeseries.Series{}, PredictResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return timeseries.Series{}, PredictResponse{}, fmt.Errorf("serving: %s: %s", resp.Status, bytes.TrimSpace(data))
-	}
-	var pr PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return timeseries.Series{}, PredictResponse{}, err
-	}
-	return pr.Forecast.ToSeries(), pr, nil
-}
-
-// Models fetches the v1 deployment listing.
-func (c *Client) Models() ([]ModelInfo, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/v1/models")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serving: %s", resp.Status)
-	}
-	var out []ModelInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Healthy reports whether the endpoint responds to /healthz.

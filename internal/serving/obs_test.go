@@ -405,7 +405,7 @@ func TestTracesDisabled(t *testing.T) {
 }
 
 // flushRecorder wraps httptest.ResponseRecorder to count Flush calls through
-// the statusWriter.
+// the StatusWriter.
 type flushRecorder struct {
 	*httptest.ResponseRecorder
 	flushes int
@@ -417,11 +417,11 @@ func (f *flushRecorder) Flush() { f.flushes++ }
 // optional ResponseWriter interfaces instead of swallowing them.
 func TestStatusWriterUpgrades(t *testing.T) {
 	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
-	sw := &statusWriter{ResponseWriter: rec, status: http.StatusOK}
+	sw := &StatusWriter{ResponseWriter: rec, Status: http.StatusOK}
 
 	var w http.ResponseWriter = sw
 	if f, ok := w.(http.Flusher); !ok {
-		t.Fatal("statusWriter does not expose Flusher")
+		t.Fatal("StatusWriter does not expose Flusher")
 	} else {
 		f.Flush()
 	}
@@ -441,7 +441,7 @@ func TestStatusWriterUpgrades(t *testing.T) {
 
 	// A hijackable writer is forwarded.
 	hj := &hijackRecorder{ResponseRecorder: httptest.NewRecorder()}
-	sw2 := &statusWriter{ResponseWriter: hj, status: http.StatusOK}
+	sw2 := &StatusWriter{ResponseWriter: hj, Status: http.StatusOK}
 	if _, _, err := sw2.Hijack(); err != nil {
 		t.Fatalf("Hijack on hijackable writer = %v", err)
 	}

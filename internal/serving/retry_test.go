@@ -34,10 +34,10 @@ func flappingServer(t *testing.T, failures int64, status int) (*httptest.Server,
 				conn.Close()
 				return
 			}
-			writeJSON(w, status, errorEnvelope{Error: ErrorBody{Code: CodeInternal, Message: "draining"}})
+			WriteJSON(w, status, errorEnvelope{Error: ErrorBody{Code: CodeInternal, Message: "draining"}})
 			return
 		}
-		writeJSON(w, http.StatusOK, ModelsResponseV2{})
+		WriteJSON(w, http.StatusOK, ModelsResponseV2{})
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &calls
@@ -151,10 +151,10 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeInternal, Message: "draining"}})
+			WriteJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: ErrorBody{Code: CodeInternal, Message: "draining"}})
 			return
 		}
-		writeJSON(w, http.StatusOK, ModelsResponseV2{})
+		WriteJSON(w, http.StatusOK, ModelsResponseV2{})
 	}))
 	t.Cleanup(srv.Close)
 

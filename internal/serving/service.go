@@ -36,8 +36,7 @@ type ServiceConfig struct {
 	// Metrics carries the accuracy constants used by /v2/advise and the
 	// lowest-load windows of predict responses. Zero value → DefaultConfig.
 	Metrics metrics.Config
-	// MaxBodyBytes bounds any request body. Default 64 MiB (the historical
-	// v1 limit).
+	// MaxBodyBytes bounds any request body. Default 64 MiB.
 	MaxBodyBytes int64
 	// MaxBatch bounds the servers in one batch predict call. Default 256.
 	MaxBatch int
@@ -76,8 +75,8 @@ type ServiceConfig struct {
 	// points at the ingestor's interval; negative disables the floor.
 	MinLivePoints int
 	// MaxInflight bounds concurrently-executing requests across every
-	// admission-controlled endpoint (all of /v1 and /v2; liveness endpoints
-	// are exempt). The adaptive limiter starts here and walks the effective
+	// admission-controlled endpoint (all of /v2; liveness endpoints are
+	// exempt). The adaptive limiter starts here and walks the effective
 	// limit down whenever observed latency exceeds the per-class target.
 	// 0 → default 256; negative disables admission control entirely.
 	MaxInflight int
@@ -140,10 +139,9 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	return c
 }
 
-// Service is the long-lived serving layer: the v2 prediction protocol
-// (single, batch, advise, model listing, stored predictions) over a warm
-// model pool, plus the v1 endpoints as a compatibility shim. Safe for
-// concurrent use; one Service is meant to serve a process's whole traffic.
+// Service is the long-lived serving layer: the prediction protocol (single,
+// batch, advise, model listing, stored predictions) over a warm model pool.
+// Safe for concurrent use; one Service is meant to serve a process's whole traffic.
 type Service struct {
 	reg      *registry.Registry
 	db       *cosmos.DB // optional; nil disables /v2/predictions
@@ -225,11 +223,7 @@ func NewService(reg *registry.Registry, db *cosmos.DB, cfg ServiceConfig) *Servi
 	// bypass admission — a scraper must see an overloaded process.
 	handle("GET /metrics", s.handleMetrics)
 	handle("GET /debug/traces", s.handleTraces)
-	// v1 compatibility shim (see serving.go for the wire types).
-	admit("GET /v1/models", admission.Background, s.handleModelsV1)
-	admit("POST /v1/predict", admission.Predict, s.handlePredictV1)
-	// v2 protocol. /v2/predict is the one brownout-capable route: under
-	// saturation it degrades to the persistent forecast instead of shedding.
+	// /v2/predict is the one brownout-capable route: under saturation it degrades to the persistent forecast instead of shedding.
 	handle("POST /v2/predict",
 		s.admitted("POST /v2/predict", admission.Predict, s.handlePredictV2, s.handlePredictDegradedV2))
 	admit("POST /v2/predict/batch", admission.Predict, s.handleBatchV2)
@@ -293,13 +287,11 @@ func ctxServiceError(err error) *ServiceError {
 }
 
 // validateSeries checks the common history/horizon invariants.
-// enforceLimits applies the v2 horizon cap; the v1 shim passes false —
-// the legacy endpoint accepted any positive horizon and must keep doing so.
-func (s *Service) validateSeries(history SeriesJSON, horizon, windowPoints int, enforceLimits bool) *ServiceError {
+func (s *Service) validateSeries(history SeriesJSON, horizon, windowPoints int) *ServiceError {
 	if horizon <= 0 {
 		return badRequest("horizon must be positive")
 	}
-	if enforceLimits && horizon > s.cfg.MaxHorizon {
+	if horizon > s.cfg.MaxHorizon {
 		return svcErr(CodeTooLarge, http.StatusRequestEntityTooLarge,
 			"horizon %d exceeds the limit of %d observations", horizon, s.cfg.MaxHorizon)
 	}
@@ -372,11 +364,6 @@ func (s *Service) predictWith(ctx context.Context, tr *obs.Trace, inst *Instance
 	return FromSeries(pred), llStart, llAvg, nil
 }
 
-// Predict serves one forecast through the warm model pool.
-func (s *Service) Predict(ctx context.Context, req PredictRequestV2) (PredictResponseV2, *ServiceError) {
-	return s.predict(ctx, req, true)
-}
-
 // resolveLiveHistory sources a live_history request's training history from
 // the attached ingestor's live window (no-op when the request carries its
 // own history). Shared by the full predict path and the brownout fallback.
@@ -411,11 +398,12 @@ func (s *Service) resolveLiveHistory(req *PredictRequestV2) *ServiceError {
 	return nil
 }
 
-func (s *Service) predict(ctx context.Context, req PredictRequestV2, enforceLimits bool) (PredictResponseV2, *ServiceError) {
+// Predict serves one forecast through the warm model pool.
+func (s *Service) Predict(ctx context.Context, req PredictRequestV2) (PredictResponseV2, *ServiceError) {
 	if serr := s.resolveLiveHistory(&req); serr != nil {
 		return PredictResponseV2{}, serr
 	}
-	if serr := s.validateSeries(req.History, req.Horizon, req.WindowPoints, enforceLimits); serr != nil {
+	if serr := s.validateSeries(req.History, req.Horizon, req.WindowPoints); serr != nil {
 		return PredictResponseV2{}, serr
 	}
 	target, v, serr := s.active(req.Scenario, req.Region)
@@ -501,7 +489,7 @@ func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResp
 			case wm.err != nil:
 				res.Error = &ErrorBody{Code: CodeInternal, Message: wm.err.Error()}
 			default:
-				if serr := s.validateSeries(item.History, item.Horizon, item.WindowPoints, true); serr != nil {
+				if serr := s.validateSeries(item.History, item.Horizon, item.WindowPoints); serr != nil {
 					res.Error = &ErrorBody{Code: serr.Code, Message: serr.Message}
 					break
 				}
@@ -637,12 +625,13 @@ func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) *Service
 	return nil
 }
 
+// writeV2Error renders a service failure as its error envelope.
 func writeV2Error(w http.ResponseWriter, serr *ServiceError) {
-	writeJSON(w, serr.Status, errorEnvelope{Error: ErrorBody{Code: serr.Code, Message: serr.Message}})
+	WriteError(w, serr.Status, serr.Code, serr.Message)
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Service) handleReady(w http.ResponseWriter, _ *http.Request) {
@@ -650,14 +639,14 @@ func (s *Service) handleReady(w http.ResponseWriter, _ *http.Request) {
 		// Advertise the drain window so balancers and the client back off
 		// for exactly as long as the drain lasts, not a guessed jitter.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.DrainGrace)))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if reason := s.Degraded(); reason != "" {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "degraded", "reason": reason})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "degraded", "reason": reason})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (s *Service) handlePredictV2(w http.ResponseWriter, r *http.Request) {
@@ -673,7 +662,7 @@ func (s *Service) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleBatchV2(w http.ResponseWriter, r *http.Request) {
@@ -689,7 +678,7 @@ func (s *Service) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleAdviseV2(w http.ResponseWriter, r *http.Request) {
@@ -703,11 +692,11 @@ func (s *Service) handleAdviseV2(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleModelsV2(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, ModelsResponseV2{Models: s.ModelList(), Pool: s.pool.Stats()})
+	WriteJSON(w, http.StatusOK, ModelsResponseV2{Models: s.ModelList(), Pool: s.pool.Stats()})
 }
 
 func (s *Service) handlePredictionsV2(w http.ResponseWriter, r *http.Request) {
@@ -725,5 +714,5 @@ func (s *Service) handlePredictionsV2(w http.ResponseWriter, r *http.Request) {
 	if docs == nil {
 		docs = []*pipeline.PredictionDoc{}
 	}
-	writeJSON(w, http.StatusOK, PredictionsResponse{Region: region, Week: week, Predictions: docs})
+	WriteJSON(w, http.StatusOK, PredictionsResponse{Region: region, Week: week, Predictions: docs})
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -50,10 +51,13 @@ func TestPredictEndToEnd(t *testing.T) {
 
 	c := NewClient(srv.URL)
 	hist := weekHistory()
-	pred, resp, err := c.Predict("backup", "westus", hist, 288)
+	resp, err := c.PredictV2(context.Background(), PredictRequestV2{
+		Scenario: "backup", Region: "westus", History: FromSeries(hist), Horizon: 288,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := resp.Forecast.ToSeries()
 	if resp.Model != forecast.NamePersistentPrevDay || resp.Version != 1 {
 		t.Errorf("resp = %+v", resp)
 	}
@@ -75,7 +79,9 @@ func TestPredictEndToEnd(t *testing.T) {
 func TestPredictNoDeployment(t *testing.T) {
 	srv, _ := testServer(t)
 	c := NewClient(srv.URL)
-	_, _, err := c.Predict("backup", "nowhere", weekHistory(), 288)
+	_, err := c.PredictV2(context.Background(), PredictRequestV2{
+		Scenario: "backup", Region: "nowhere", History: FromSeries(weekHistory()), Horizon: 288,
+	})
 	if err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("err = %v, want 404", err)
 	}
@@ -86,7 +92,7 @@ func TestPredictValidation(t *testing.T) {
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, forecast.NamePersistentPrevDay, "")
 
 	post := func(body string) int {
-		resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v2/predict", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,12 +111,12 @@ func TestPredictValidation(t *testing.T) {
 		t.Errorf("zero interval status = %d", code)
 	}
 	// Insufficient history → unprocessable.
-	req := PredictRequest{
+	req := PredictRequestV2{
 		Scenario: "backup", Region: "r", Horizon: 288,
 		History: SeriesJSON{Start: t0, IntervalMin: 5, Values: []float64{1, 2, 3}},
 	}
 	data, _ := json.Marshal(req)
-	resp, err := http.Post(srv.URL+"/v1/predict", "application/json", bytes.NewReader(data))
+	resp, err := http.Post(srv.URL+"/v2/predict", "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +129,10 @@ func TestPredictValidation(t *testing.T) {
 func TestModelsListing(t *testing.T) {
 	srv, reg := testServer(t)
 	c := NewClient(srv.URL)
-	models, err := c.Models()
-	if err != nil || len(models) != 0 {
-		t.Errorf("empty registry: %v %v", models, err)
+	ctx := context.Background()
+	listing, err := c.ModelsV2(ctx)
+	if err != nil || len(listing.Models) != 0 {
+		t.Errorf("empty registry: %v %v", listing.Models, err)
 	}
 
 	tgt := registry.Target{Scenario: "backup", Region: "westus"}
@@ -133,10 +140,11 @@ func TestModelsListing(t *testing.T) {
 	_ = reg.RecordAccuracy(tgt, v, 0.99)
 	reg.Deploy(registry.Target{Scenario: "autoscale", Region: "eastus"}, forecast.NameSSA, "")
 
-	models, err = c.Models()
+	listing, err = c.ModelsV2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	models := listing.Models
 	if len(models) != 2 {
 		t.Fatalf("models = %+v", models)
 	}
@@ -159,13 +167,13 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/v1/predict")
+	resp, err := http.Get(srv.URL + "/v2/predict")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/predict status = %d", resp.StatusCode)
+		t.Errorf("GET /v2/predict status = %d", resp.StatusCode)
 	}
 }
 
@@ -173,7 +181,9 @@ func TestUnknownDeployedModel(t *testing.T) {
 	srv, reg := testServer(t)
 	reg.Deploy(registry.Target{Scenario: "backup", Region: "r"}, "no-such-model", "")
 	c := NewClient(srv.URL)
-	_, _, err := c.Predict("backup", "r", weekHistory(), 288)
+	_, err := c.PredictV2(context.Background(), PredictRequestV2{
+		Scenario: "backup", Region: "r", History: FromSeries(weekHistory()), Horizon: 288,
+	})
 	if err == nil || !strings.Contains(err.Error(), "500") {
 		t.Errorf("err = %v, want 500", err)
 	}

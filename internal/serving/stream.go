@@ -227,5 +227,5 @@ func (s *Service) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -27,7 +27,7 @@ type TracesDoc struct {
 
 func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		writeJSON(w, http.StatusOK, TracesDoc{Enabled: false})
+		WriteJSON(w, http.StatusOK, TracesDoc{Enabled: false})
 		return
 	}
 	n := defaultRecentTraces
@@ -39,7 +39,7 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, TracesDoc{
+	WriteJSON(w, http.StatusOK, TracesDoc{
 		Enabled:  true,
 		Recent:   s.tracer.Recent(n),
 		Slowest:  s.tracer.Slowest(),

@@ -116,26 +116,28 @@ func (v *varz) endpoint(name string) *endpointVars {
 	return ev
 }
 
-// statusWriter captures the response status for the error counter while
+// StatusWriter captures the response status for the error counters while
 // forwarding the optional ResponseWriter upgrades — Flusher for streaming
 // responses and Hijacker for connection takeover — that a plain embedding
 // would silently swallow behind type assertions. Unwrap additionally lets
 // http.ResponseController reach the underlying writer for everything else.
-type statusWriter struct {
+// The serving endpoints and the sharded router share it.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
+// WriteHeader records the status and forwards it.
+func (w *StatusWriter) WriteHeader(status int) {
+	w.Status = status
 	w.ResponseWriter.WriteHeader(status)
 }
 
 // Unwrap exposes the wrapped writer to http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // Flush forwards http.Flusher when the underlying writer streams.
-func (w *statusWriter) Flush() {
+func (w *StatusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -144,7 +146,7 @@ func (w *statusWriter) Flush() {
 // Hijack forwards http.Hijacker when the underlying connection allows
 // takeover, and reports ErrNotSupported otherwise (matching
 // http.ResponseController's contract).
-func (w *statusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+func (w *StatusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	if h, ok := w.ResponseWriter.(http.Hijacker); ok {
 		return h.Hijack()
 	}
@@ -161,16 +163,16 @@ func (s *Service) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ev.inFlight.Add(1)
 		defer ev.inFlight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		clock := s.varz.clock
 		start := clock.Now()
 		if tr := s.tracer.Start(name, r.Header.Get("X-Request-Id")); tr != nil {
 			w.Header().Set("X-Request-Id", tr.RequestID())
 			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
-			defer func() { s.tracer.Finish(tr, sw.status) }()
+			defer func() { s.tracer.Finish(tr, sw.Status) }()
 		}
 		h(sw, r)
-		ev.observe(clock.Now().Sub(start), sw.status)
+		ev.observe(clock.Now().Sub(start), sw.Status)
 	}
 }
 
@@ -226,5 +228,5 @@ func (s *Service) VarzSnapshot() Varz {
 }
 
 func (s *Service) handleVarz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.VarzSnapshot())
+	WriteJSON(w, http.StatusOK, s.VarzSnapshot())
 }

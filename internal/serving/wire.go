@@ -7,13 +7,11 @@ import (
 	"seagull/internal/pipeline"
 )
 
-// The v2 wire protocol. Every v2 error response is a structured envelope
+// The wire protocol. Every error response is a structured envelope
 //
 //	{"error": {"code": "<machine-readable>", "message": "<human-readable>"}}
 //
-// so clients can branch on the code without parsing prose; the v1 endpoints
-// keep their original flat {"error": "<message>"} shape through the compat
-// shim.
+// so clients can branch on the code without parsing prose.
 
 // ErrorCode is a machine-readable v2 error class.
 type ErrorCode string
@@ -50,9 +48,8 @@ type errorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// ServiceError is a service failure with its wire representation: the v2
-// code, the HTTP status, and the human-readable message. The v1 shim reuses
-// Status and Message and drops the code.
+// ServiceError is a service failure with its wire representation: the
+// code, the HTTP status, and the human-readable message.
 type ServiceError struct {
 	Code    ErrorCode
 	Status  int

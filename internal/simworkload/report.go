@@ -65,6 +65,11 @@ type SLOReport struct {
 	// Wall measurements, like the predict percentiles: report-only, never in
 	// the timeline CSV.
 	Stages []obs.StageStat `json:"stages,omitempty"`
+	// RefreshMemoHits counts the run's refresh trains served from a warm
+	// instance's training memo. It depends on which idle
+	// instance each refresh worker checks out, i.e. on scheduling, so like
+	// the stages it is report-only.
+	RefreshMemoHits uint64 `json:"refresh_memo_hits"`
 }
 
 // String renders the report as the operator-facing summary the CLI prints.

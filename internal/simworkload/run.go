@@ -46,9 +46,6 @@ type Options struct {
 	// second (100 = a day every ~14 minutes); 0 runs unthrottled — as fast
 	// as the host executes, the usual choice.
 	Scale float64
-	// Schedule selects the ingest fan-out's work-stealing discipline — the
-	// guided-vs-chunked ablation hook.
-	Schedule parallel.Schedule
 	// IngestWorkers and PredictWorkers bound the per-slot fan-outs.
 	// Defaults 4 and 8.
 	IngestWorkers  int
@@ -364,7 +361,7 @@ func (h *harness) build(dir string, liveWeeks int) error {
 	h.closers = append(h.closers, unbind)
 
 	h.rng = rand.New(rand.NewSource(h.sc.Seed*911_383 + 101))
-	h.ingPool = parallel.NewPool(h.opts.IngestWorkers).WithSchedule(h.opts.Schedule)
+	h.ingPool = parallel.NewPool(h.opts.IngestWorkers)
 	h.predPool = parallel.NewPool(h.opts.PredictWorkers)
 
 	for _, ev := range h.sc.Events {
@@ -902,8 +899,10 @@ func (h *harness) sample(simHours float64) Row {
 }
 
 // stageCount reads one stage's cumulative span count and hit count from a
-// tracer's aggregates. On the simulated-clock tracer these are deterministic:
-// sweeps and refresh drains run synchronously at slot boundaries.
+// tracer's aggregates. On the simulated-clock tracer the counts are
+// deterministic — sweeps and refresh drains run synchronously at slot
+// boundaries — but the train stage's memo hits are not (see
+// Row.RefreshMemoHits).
 func stageCount(tr *obs.Tracer, stage string) (count, hits uint64) {
 	for _, st := range tr.StageStats() {
 		if st.Stage == stage {
@@ -941,6 +940,7 @@ func (h *harness) report(wall time.Duration) SLOReport {
 	// predict the time went (admission wait, pool checkout, train,
 	// inference). Wall measurements, so report-only — never in the CSV.
 	rep.Stages = h.wallTracer.StageStats()
+	_, rep.RefreshMemoHits = stageCount(h.simTracer, "train")
 	h.latMu.Lock()
 	summarizeLatencies(&rep.Predicts, h.latMS)
 	h.latMu.Unlock()
